@@ -89,25 +89,49 @@ let with_tolerance ?tol ?max_iter t =
 let panel_count t = t.panel |> Panel.n_dofs
 let stats t = t.stats
 
+let panels_per_side t = int_of_float (sqrt (float_of_int (Array.length t.lambdas)))
+
+(* Fig 2-6 on a full-grid array, in place: forward DCT, scale each mode
+   by its eigenvalue ([Multiply]) or by its inverse ([Divide]), inverse
+   DCT. *)
+type scaling = Multiply | Divide
+
+let conjugate_in_place t scaling (grid : float array) =
+  if Array.length grid <> Array.length t.lambdas then
+    invalid_arg "Eig_solver: panel grid length mismatch";
+  let p = panels_per_side t in
+  Transforms.Dct.dct_ii_planes ~nx:p ~ny:p grid;
+  (match scaling with
+  | Multiply ->
+    for k = 0 to Array.length grid - 1 do
+      grid.(k) <- t.lambdas.(k) *. grid.(k)
+    done
+  | Divide ->
+    for k = 0 to Array.length grid - 1 do
+      grid.(k) <- grid.(k) /. t.lambdas.(k)
+    done);
+  Transforms.Dct.dct_iii_planes ~nx:p ~ny:p grid
+
 (* Apply the full-surface operator A: panel current densities (full grid) to
    panel potentials (full grid). *)
 let apply_operator t (density : float array) : float array =
-  let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-  let hat = Transforms.Dct.dct_ii_2d ~nx:p ~ny:p density in
-  let scaled = Array.mapi (fun k v -> t.lambdas.(k) *. v) hat in
-  Transforms.Dct.dct_iii_2d ~nx:p ~ny:p scaled
+  let grid = Array.copy density in
+  conjugate_in_place t Multiply grid;
+  grid
 
-(* The restricted SPD operator A_cc on packed contact-panel dofs. *)
+(* The restricted SPD operator A_cc on packed contact-panel dofs; the
+   scattered grid is private, so the whole pipeline runs in it. *)
 let apply_restricted t (rho : La.Vec.t) : La.Vec.t =
-  Panel.gather t.panel (apply_operator t (Panel.scatter t.panel rho))
+  let grid = Panel.scatter t.panel rho in
+  conjugate_in_place t Multiply grid;
+  Panel.gather t.panel grid
 
 (* Apply the inverse of the full-surface operator, restricted: the
    fast-solver preconditioner candidate. *)
 let apply_inverse_restricted t (r : La.Vec.t) : La.Vec.t =
-  let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-  let hat = Transforms.Dct.dct_ii_2d ~nx:p ~ny:p (Panel.scatter t.panel r) in
-  let scaled = Array.mapi (fun k v -> v /. t.lambdas.(k)) hat in
-  Panel.gather t.panel (Transforms.Dct.dct_iii_2d ~nx:p ~ny:p scaled)
+  let grid = Panel.scatter t.panel r in
+  conjugate_in_place t Divide grid;
+  Panel.gather t.panel grid
 
 (* One black-box solve: contact voltages to contact currents. [stats]
    designates the iteration-stats record to update — the solver's own by
@@ -161,8 +185,7 @@ let solve t v = solve_into ~stats:t.stats t v
 let solve_batch ?(jobs = Parallel.Pool.default_jobs ()) t (vs : La.Vec.t array) : La.Vec.t array =
   if jobs <= 1 || Array.length vs <= 1 then Array.map (solve t) vs
   else begin
-    let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-    ignore (Transforms.Plan.get p);
+    ignore (Transforms.Plan.get (panels_per_side t));
     let stats = Array.init (Array.length vs) (fun _ -> La.Krylov.make_stats ()) in
     let out =
       Parallel.Pool.with_pool ~jobs (fun pool ->

@@ -24,9 +24,16 @@ type t = {
   tol : float;
   max_iter : int;
   stats : La.Krylov.stats;
+  stats_mutex : Mutex.t;
+      (* solves run concurrently under a Resilient batch; each counts into
+         a private record merged into [stats] under this mutex *)
   health : Substrate.Health.t;
   n_contacts : int;
 }
+
+(* The two halves of a PCG iteration, so a trace summary shows the split. *)
+let stencil_span = "fd.stencil"
+let poisson_span = "poisson.solve"
 
 (* Fraction of the top surface covered by contacts — the area-weighted
    Dirichlet fraction of thesis §2.2.2. *)
@@ -58,7 +65,9 @@ let build_preconditioner ~profile ~layout ~nx ~nz grid = function
         ~h:grid.Grid.h ~sigma:grid.Grid.sigma_plane ~top_fraction:p
         ~bottom_contact:(grid.Grid.g_backplane > 0.0) ()
     in
-    Some (fun r -> zero_fixed grid (Transforms.Poisson.solve fast r))
+    Some
+      (fun r ->
+        zero_fixed grid (Trace.with_span poisson_span (fun () -> Transforms.Poisson.solve fast r)))
 
 let create ?placement ?(precond = Fast_poisson 1.0) ?(tol = 1e-9) ?(max_iter = 5000) profile layout ~nx ~nz =
   let grid = Grid.create ?placement profile layout ~nx ~nz in
@@ -68,6 +77,7 @@ let create ?placement ?(precond = Fast_poisson 1.0) ?(tol = 1e-9) ?(max_iter = 5
     tol;
     max_iter;
     stats = La.Krylov.make_stats ();
+    stats_mutex = Mutex.create ();
     health = Substrate.Health.create ();
     n_contacts = Array.length layout.Layout.contacts;
   }
@@ -81,6 +91,7 @@ let with_tolerance ?tol ?max_iter t =
     tol = Option.value tol ~default:t.tol;
     max_iter = Option.value max_iter ~default:t.max_iter;
     stats = La.Krylov.make_stats ();
+    stats_mutex = Mutex.create ();
     health = Substrate.Health.create ();
   }
 
@@ -91,8 +102,10 @@ let stats t = t.stats
    non-convergence, and publish the per-solve quality report. *)
 let run_cg t ~apply b =
   let t0 = Substrate.Health.now () in
-  let result = La.Krylov.cg ?precond:t.precond ~apply ~tol:t.tol ~max_iter:t.max_iter ~stats:t.stats b in
+  let stats = La.Krylov.make_stats () in
+  let result = La.Krylov.cg ?precond:t.precond ~apply ~tol:t.tol ~max_iter:t.max_iter ~stats b in
   let wall = Substrate.Health.now () -. t0 in
+  Mutex.protect t.stats_mutex (fun () -> La.Krylov.merge_stats ~into:t.stats stats);
   if result.La.Krylov.breakdown then
     Logs.warn (fun m ->
         m "fd solve: CG breakdown on a non-positive-definite direction (true residual %.2e after %d iterations%s%s)"
@@ -138,7 +151,7 @@ let solve_inside t (u : La.Vec.t) : La.Vec.t =
      back the same array every iteration. *)
   let buf = Array.make n 0.0 in
   let apply v =
-    Grid.apply_into grid ~src:v ~dst:buf;
+    Trace.with_span stencil_span (fun () -> Grid.apply_into grid ~src:v ~dst:buf);
     zero_fixed grid buf
   in
   let result = run_cg t ~apply b in
@@ -159,7 +172,7 @@ let solve_outside t (u : La.Vec.t) : La.Vec.t =
   (* Same per-solve buffer reuse as [solve_inside]. *)
   let buf = Array.make n 0.0 in
   let apply v =
-    Grid.apply_into grid ~src:v ~dst:buf;
+    Trace.with_span stencil_span (fun () -> Grid.apply_into grid ~src:v ~dst:buf);
     buf
   in
   let result = run_cg t ~apply b in

@@ -89,7 +89,12 @@ let box_for t k =
   else begin
     let i = min (k - 3) (Array.length t.fallbacks - 1) in
     let name, lazy_box = t.fallbacks.(i) in
-    (name, Lazy.force lazy_box)
+    (* Pool domains reach this concurrently, and a domain forcing a lazy
+       that another domain is forcing raises [CamlinternalLazy.Undefined],
+       so every force is serialized. [Lazy.is_val] cannot serve as a
+       lock-free fast path: it already answers true while the build runs.
+       Fallback attempts are rare, so the lock costs nothing measurable. *)
+    (name, Mutex.protect t.mutex (fun () -> Lazy.force lazy_box))
   end
 
 let record_failure t f =

@@ -27,9 +27,8 @@ let dct2_raw_naive x =
 let dct2_raw x =
   let n = Array.length x in
   if Fft.is_power_of_two n then begin
-    let plan = Plan.get n in
-    let re = Array.make n 0.0 and im = Array.make n 0.0 and out = Array.make n 0.0 in
-    Plan.dct2_raw plan x re im out;
+    let out = Array.copy x in
+    Plan.dct2_raw (Plan.get n) out ~off:0 ~stride:1 (Array.make n 0.0) (Array.make n 0.0);
     out
   end
   else dct2_raw_naive x
@@ -51,9 +50,8 @@ let idct2_raw_naive c =
 let idct2_raw c =
   let n = Array.length c in
   if Fft.is_power_of_two n then begin
-    let plan = Plan.get n in
-    let re = Array.make n 0.0 and im = Array.make n 0.0 and out = Array.make n 0.0 in
-    Plan.idct2_raw plan c re im out;
+    let out = Array.copy c in
+    Plan.idct2_raw (Plan.get n) out ~off:0 ~stride:1 (Array.make n 0.0) (Array.make n 0.0);
     out
   end
   else idct2_raw_naive c
@@ -74,55 +72,61 @@ let dct_iii y =
 
 (* ------------------------------------------------------------------ *)
 (* 2-D transforms on flat row-major arrays with x fastest:
-   index = ix + nx * iy. Scratch buffers are allocated once per call and
-   reused across all rows and columns. *)
+   index = ix + nx * iy. A stack of planes (index + nx * ny * plane) is
+   transformed plane by plane, in place. *)
 
-let check_2d ~nx ~ny a name =
-  if Array.length a <> nx * ny then
-    invalid_arg (Printf.sprintf "Dct.%s: expected %d*%d elements, got %d" name nx ny (Array.length a))
+let check_planes ~nx ~ny a name =
+  if nx <= 0 || ny <= 0 || Array.length a mod (nx * ny) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Dct.%s: expected a multiple of %d*%d elements, got %d" name nx ny
+         (Array.length a))
 
 type direction = Forward | Inverse
 
-let transform_2d_fast dir ~nx ~ny a =
+(* Power-of-two sizes: each row and each (strided) column is transformed
+   where it lies, with one scratch set for the whole call. The orthonormal
+   scaling is applied after the forward and before the inverse raw
+   transform. *)
+let transform_planes_fast dir ~nx ~ny a =
   let plan_x = Plan.get nx and plan_y = Plan.get ny in
-  let out = Array.copy a in
   let nmax = max nx ny in
   let re = Array.make nmax 0.0 and im = Array.make nmax 0.0 in
-  let buf = Array.make nmax 0.0 and res = Array.make nmax 0.0 in
-  let run plan len =
+  let scale len ~off ~stride s0 s =
+    a.(off) <- a.(off) *. s0;
+    for k = 1 to len - 1 do
+      let j = off + (k * stride) in
+      a.(j) <- a.(j) *. s
+    done
+  in
+  (* The factors applied after the forward (before the inverse) raw
+     transform of length [len], bound once per call. *)
+  let factors len =
+    match dir with
+    | Forward -> (sqrt (1.0 /. float_of_int len), sqrt (2.0 /. float_of_int len))
+    | Inverse -> (sqrt (float_of_int len), sqrt (float_of_int len /. 2.0))
+  in
+  let sx0, sx = factors nx and sy0, sy = factors ny in
+  let run plan len s0 s ~off ~stride =
     match dir with
     | Forward ->
-      Plan.dct2_raw plan buf re im res;
-      let s0 = sqrt (1.0 /. float_of_int len) and s = sqrt (2.0 /. float_of_int len) in
-      res.(0) <- res.(0) *. s0;
-      for k = 1 to len - 1 do
-        res.(k) <- res.(k) *. s
-      done
+      Plan.dct2_raw plan a ~off ~stride re im;
+      scale len ~off ~stride s0 s
     | Inverse ->
-      let s0 = sqrt (float_of_int len) and s = sqrt (float_of_int len /. 2.0) in
-      buf.(0) <- buf.(0) *. s0;
-      for k = 1 to len - 1 do
-        buf.(k) <- buf.(k) *. s
-      done;
-      Plan.idct2_raw plan buf re im res
+      scale len ~off ~stride s0 s;
+      Plan.idct2_raw plan a ~off ~stride re im
   in
-  (* Along x: contiguous rows. *)
-  for iy = 0 to ny - 1 do
-    Array.blit out (iy * nx) buf 0 nx;
-    run plan_x nx;
-    Array.blit res 0 out (iy * nx) nx
-  done;
-  (* Along y: strided columns. *)
-  for ix = 0 to nx - 1 do
+  let plane = nx * ny in
+  for p = 0 to (Array.length a / plane) - 1 do
+    let base = p * plane in
+    (* Along x: contiguous rows. *)
     for iy = 0 to ny - 1 do
-      buf.(iy) <- out.((iy * nx) + ix)
+      run plan_x nx sx0 sx ~off:(base + (iy * nx)) ~stride:1
     done;
-    run plan_y ny;
-    for iy = 0 to ny - 1 do
-      out.((iy * nx) + ix) <- res.(iy)
+    (* Along y: strided columns. *)
+    for ix = 0 to nx - 1 do
+      run plan_y ny sy0 sy ~off:(base + ix) ~stride:nx
     done
-  done;
-  out
+  done
 
 let transform_2d_slow f1d ~nx ~ny a =
   let out = Array.copy a in
@@ -144,15 +148,30 @@ let transform_2d_slow f1d ~nx ~ny a =
   done;
   out
 
-let dct_ii_2d ~nx ~ny a =
-  check_2d ~nx ~ny a "dct_ii_2d";
-  if Fft.is_power_of_two nx && Fft.is_power_of_two ny then transform_2d_fast Forward ~nx ~ny a
-  else transform_2d_slow dct_ii ~nx ~ny a
+let transform_planes dir name ~nx ~ny a =
+  check_planes ~nx ~ny a name;
+  if Fft.is_power_of_two nx && Fft.is_power_of_two ny then transform_planes_fast dir ~nx ~ny a
+  else begin
+    let f1d = match dir with Forward -> dct_ii | Inverse -> dct_iii in
+    let plane = nx * ny in
+    for p = 0 to (Array.length a / plane) - 1 do
+      let t = transform_2d_slow f1d ~nx ~ny (Array.sub a (p * plane) plane) in
+      Array.blit t 0 a (p * plane) plane
+    done
+  end
 
-let dct_iii_2d ~nx ~ny a =
-  check_2d ~nx ~ny a "dct_iii_2d";
-  if Fft.is_power_of_two nx && Fft.is_power_of_two ny then transform_2d_fast Inverse ~nx ~ny a
-  else transform_2d_slow dct_iii ~nx ~ny a
+let dct_ii_planes ~nx ~ny a = transform_planes Forward "dct_ii_planes" ~nx ~ny a
+let dct_iii_planes ~nx ~ny a = transform_planes Inverse "dct_iii_planes" ~nx ~ny a
+
+let transform_2d dir name ~nx ~ny a =
+  if Array.length a <> nx * ny then
+    invalid_arg (Printf.sprintf "Dct.%s: expected %d*%d elements, got %d" name nx ny (Array.length a));
+  let out = Array.copy a in
+  transform_planes dir name ~nx ~ny out;
+  out
+
+let dct_ii_2d ~nx ~ny a = transform_2d Forward "dct_ii_2d" ~nx ~ny a
+let dct_iii_2d ~nx ~ny a = transform_2d Inverse "dct_iii_2d" ~nx ~ny a
 
 (* Eigenvalue of the 1-D cell-centered Neumann Laplacian
    (stencil [1,-1] / [-1,2,-1] / [-1,1]) for DCT-II mode k of n. *)

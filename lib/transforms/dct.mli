@@ -17,6 +17,16 @@ val dct_ii_2d : nx:int -> ny:int -> float array -> float array
 
 val dct_iii_2d : nx:int -> ny:int -> float array -> float array
 
+(** [dct_ii_planes ~nx ~ny a] overwrites every [nx * ny] plane of [a]
+    (plane [p] at offset [p * nx * ny]) with its {!dct_ii_2d}, bit for
+    bit. Power-of-two sizes allocate only O(nx + ny) scratch per call.
+    @raise Invalid_argument unless [Array.length a] is a multiple of
+    [nx * ny]. *)
+val dct_ii_planes : nx:int -> ny:int -> float array -> unit
+
+(** In-place {!dct_iii_2d} of every plane, as {!dct_ii_planes}. *)
+val dct_iii_planes : nx:int -> ny:int -> float array -> unit
+
 (** Eigenvalue [2 - 2 cos(pi k / n)] of the 1-D cell-centered Neumann
     Laplacian for DCT-II mode [k]; the diagonal the fast Poisson solver uses. *)
 val neumann_laplacian_eigenvalue : n:int -> k:int -> float

@@ -95,32 +95,39 @@ let fft t ~sign (re : float array) (im : float array) =
     done
   done
 
-(* Unnormalized DCT-II via the plan (Makhoul's even/odd permutation). The
-   scratch arrays must be caller-provided of length n; the result lands in
-   [out] (which may alias the input). *)
-let dct2_raw t (x : float array) (re : float array) (im : float array) (out : float array) =
+let check_strided name n (x : float array) ~off ~stride =
+  if off < 0 || stride < 1 || off + ((n - 1) * stride) >= Array.length x then
+    invalid_arg (name ^ ": data out of bounds")
+
+(* Unnormalized DCT-II via the plan (Makhoul's even/odd permutation), in
+   place on the n values x.(off + k * stride): every input is read into the
+   scratch [re] before any output is written. [re]/[im] are caller-provided
+   scratch of length at least n. *)
+let dct2_raw t (x : float array) ~off ~stride (re : float array) (im : float array) =
   let n = t.n in
+  check_strided "Plan.dct2_raw" n x ~off ~stride;
   let half = (n + 1) / 2 in
   Array.fill im 0 n 0.0;
   for j = 0 to half - 1 do
-    re.(j) <- x.(2 * j)
+    re.(j) <- x.(off + (2 * j * stride))
   done;
   for j = 0 to (n / 2) - 1 do
-    re.(n - 1 - j) <- x.((2 * j) + 1)
+    re.(n - 1 - j) <- x.(off + (((2 * j) + 1) * stride))
   done;
   fft t ~sign:(-1) re im;
   for k = 0 to n - 1 do
-    out.(k) <- (re.(k) *. t.twist_c.(k)) +. (im.(k) *. t.twist_s.(k))
+    x.(off + (k * stride)) <- (re.(k) *. t.twist_c.(k)) +. (im.(k) *. t.twist_s.(k))
   done
 
-(* Exact inverse of [dct2_raw]. *)
-let idct2_raw t (c : float array) (re : float array) (im : float array) (out : float array) =
+(* Exact inverse of [dct2_raw], same calling convention. *)
+let idct2_raw t (c : float array) ~off ~stride (re : float array) (im : float array) =
   let n = t.n in
-  re.(0) <- c.(0);
+  check_strided "Plan.idct2_raw" n c ~off ~stride;
+  re.(0) <- c.(off);
   im.(0) <- 0.0;
   (* Rebuild the spectrum V_k = (c_k - i c_{n-k}) exp(+i pi k / 2n). *)
   for k = 1 to n - 1 do
-    let wr = c.(k) and wi = -.c.(n - k) in
+    let wr = c.(off + (k * stride)) and wi = -.c.(off + ((n - k) * stride)) in
     re.(k) <- (wr *. t.twist_c.(k)) -. (wi *. t.twist_s.(k));
     im.(k) <- (wr *. t.twist_s.(k)) +. (wi *. t.twist_c.(k))
   done;
@@ -128,8 +135,8 @@ let idct2_raw t (c : float array) (re : float array) (im : float array) (out : f
   let inv = 1.0 /. float_of_int n in
   let half = (n + 1) / 2 in
   for j = 0 to half - 1 do
-    out.(2 * j) <- re.(j) *. inv
+    c.(off + (2 * j * stride)) <- re.(j) *. inv
   done;
   for j = 0 to (n / 2) - 1 do
-    out.((2 * j) + 1) <- re.(n - 1 - j) *. inv
+    c.(off + (((2 * j) + 1) * stride)) <- re.(n - 1 - j) *. inv
   done

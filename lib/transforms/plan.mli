@@ -15,10 +15,10 @@ val fft : t -> sign:int -> float array -> float array -> unit
 (** In-place FFT of (re, im) using the plan's tables; [sign] as in
     [Fft.transform]. *)
 
-val dct2_raw : t -> float array -> float array -> float array -> float array -> unit
-(** [dct2_raw t x re im out]: unnormalized DCT-II of [x] into [out]
-    (which may alias [x]); [re]/[im] are caller-provided scratch of the
-    plan's length. *)
+val dct2_raw : t -> float array -> off:int -> stride:int -> float array -> float array -> unit
+(** [dct2_raw t x ~off ~stride re im]: unnormalized DCT-II, in place, of the
+    plan's length of values [x.(off + k * stride)]; [re]/[im] are
+    caller-provided scratch of at least the plan's length. *)
 
-val idct2_raw : t -> float array -> float array -> float array -> float array -> unit
+val idct2_raw : t -> float array -> off:int -> stride:int -> float array -> float array -> unit
 (** Exact inverse of {!dct2_raw}, same calling convention. *)

@@ -25,6 +25,9 @@ type t = {
   gz : float array;  (* vertical resistor conductances, length nz - 1 *)
   g_top : float;  (* extra diagonal on plane 0 from the top Dirichlet coupling *)
   g_bottom : float;  (* extra diagonal on plane nz-1 from a backplane contact *)
+  factors : La.Tridiag.factor array option Atomic.t;
+      (* one z-system elimination per (kx, ky) mode, index kx + nx * ky;
+         built by the first [solve] *)
 }
 
 let index t ~ix ~iy ~iz = ix + (t.nx * (iy + (t.ny * iz)))
@@ -54,14 +57,14 @@ let create ?gz ~nx ~ny ~nz ~h ~sigma ~top_fraction ~bottom_contact () =
   (* A backplane contact is on the bottom face, half a spacing below the last
      plane: a half-length resistor. *)
   let g_bottom = if bottom_contact then 2.0 *. sigma.(nz - 1) *. h else 0.0 in
-  { nx; ny; nz; h; sigma; gz; g_top; g_bottom }
+  { nx; ny; nz; h; sigma; gz; g_top; g_bottom; factors = Atomic.make None }
 
 (* Apply the model operator M (for testing and for preconditioner
    verification): node currents from node voltages. *)
 let apply t (v : float array) : float array =
   if Array.length v <> size t then invalid_arg "Poisson.apply: dimension mismatch";
   let out = Array.make (size t) 0.0 in
-  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom } = t in
+  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom; factors = _ } = t in
   for iz = 0 to nz - 1 do
     let g_plane = sigma.(iz) *. h in
     for iy = 0 to ny - 1 do
@@ -83,60 +86,53 @@ let apply t (v : float array) : float array =
   done;
   out
 
-(* Direct solve M x = b via DCT in x, y and tridiagonal solves in z.
-   When the operator is singular (pure Neumann everywhere), the (0,0) mode is
-   regularized with a small diagonal shift; the result is then a valid
-   preconditioner though not an exact solve. *)
-let solve t (b : float array) : float array =
-  if Array.length b <> size t then invalid_arg "Poisson.solve: dimension mismatch";
-  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom } = t in
-  let plane = nx * ny in
-  (* Forward 2-D DCT of every z-plane. *)
-  let hat = Array.make (size t) 0.0 in
-  for iz = 0 to nz - 1 do
-    let slice = Array.sub b (iz * plane) plane in
-    let s = Dct.dct_ii_2d ~nx ~ny slice in
-    Array.blit s 0 hat (iz * plane) plane
-  done;
+(* The z-system of mode (kx, ky) has diagonal
+   sigma_k h (lambda_x + lambda_y) plus the vertical and boundary
+   conductances, and off-diagonals -gz. When the operator is singular (pure
+   Neumann everywhere), the (0,0) mode is regularized with a small diagonal
+   shift; the solve is then a valid preconditioner though not an exact
+   one. *)
+let build_factors t =
+  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom; factors = _ } = t in
   (* Exact test: boundary conductances are 0.0 only when the caller asked
      for pure-Neumann walls, which is the one genuinely singular case. *)
   let singular = Float.equal g_top 0.0 && Float.equal g_bottom 0.0 in
-  (* One tridiagonal system in z per (kx, ky) mode. *)
-  let lower = Array.make nz 0.0 and diag = Array.make nz 0.0 in
-  let upper = Array.make nz 0.0 and rhs = Array.make nz 0.0 in
-  for ky = 0 to ny - 1 do
-    let ly = Dct.neumann_laplacian_eigenvalue ~n:ny ~k:ky in
-    for kx = 0 to nx - 1 do
-      let lx = Dct.neumann_laplacian_eigenvalue ~n:nx ~k:kx in
+  let lx = Array.init nx (fun k -> Dct.neumann_laplacian_eigenvalue ~n:nx ~k) in
+  let ly = Array.init ny (fun k -> Dct.neumann_laplacian_eigenvalue ~n:ny ~k) in
+  let lower = Array.init nz (fun iz -> if iz > 0 then -.gz.(iz - 1) else 0.0) in
+  let upper = Array.init nz (fun iz -> if iz < nz - 1 then -.gz.(iz) else 0.0) in
+  let diag = Array.make nz 0.0 in
+  Array.init (nx * ny) (fun mode ->
+      let kx = mode mod nx and ky = mode / nx in
       for iz = 0 to nz - 1 do
-        let d = ref (sigma.(iz) *. h *. (lx +. ly)) in
-        if iz > 0 then begin
-          d := !d +. gz.(iz - 1);
-          lower.(iz) <- -.gz.(iz - 1)
-        end
-        else lower.(iz) <- 0.0;
-        if iz < nz - 1 then begin
-          d := !d +. gz.(iz);
-          upper.(iz) <- -.gz.(iz)
-        end
-        else upper.(iz) <- 0.0;
+        let d = ref (sigma.(iz) *. h *. (lx.(kx) +. ly.(ky))) in
+        if iz > 0 then d := !d +. gz.(iz - 1);
+        if iz < nz - 1 then d := !d +. gz.(iz);
         if iz = 0 then d := !d +. g_top;
         if iz = nz - 1 then d := !d +. g_bottom;
         if singular && kx = 0 && ky = 0 then d := !d +. (1e-12 *. sigma.(iz) *. h);
-        diag.(iz) <- !d;
-        rhs.(iz) <- hat.((iz * plane) + (ky * nx) + kx)
+        diag.(iz) <- !d
       done;
-      let x = La.Tridiag.solve ~lower ~diag ~upper ~rhs in
-      for iz = 0 to nz - 1 do
-        hat.((iz * plane) + (ky * nx) + kx) <- x.(iz)
-      done
-    done
-  done;
-  (* Inverse 2-D DCT of every z-plane. *)
-  let out = Array.make (size t) 0.0 in
-  for iz = 0 to nz - 1 do
-    let slice = Array.sub hat (iz * plane) plane in
-    let s = Dct.dct_iii_2d ~nx ~ny slice in
-    Array.blit s 0 out (iz * plane) plane
-  done;
-  out
+      La.Tridiag.factor ~lower ~diag ~upper)
+
+(* Solves from several domains may race to build the tables; each builder
+   produces the same tables, and the first one published is kept. *)
+let factors t =
+  match Atomic.get t.factors with
+  | Some f -> f
+  | None ->
+    let f = build_factors t in
+    if Atomic.compare_and_set t.factors None (Some f) then f else Option.get (Atomic.get t.factors)
+
+(* Direct solve M x = b: a 2-D DCT of every z-plane decouples the modes,
+   one tridiagonal solve in z per (kx, ky) mode, then the inverse DCT. All
+   three steps run in place on one copy of [b]. *)
+let solve t (b : float array) : float array =
+  if Array.length b <> size t then invalid_arg "Poisson.solve: dimension mismatch";
+  let factors = factors t in
+  let { nx; ny; _ } = t in
+  let x = Array.copy b in
+  Dct.dct_ii_planes ~nx ~ny x;
+  Array.iteri (fun mode f -> La.Tridiag.solve_factored f ~off:mode ~stride:(nx * ny) x) factors;
+  Dct.dct_iii_planes ~nx ~ny x;
+  x

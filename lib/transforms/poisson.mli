@@ -34,7 +34,10 @@ val apply : t -> float array -> float array
 
 (** Direct O(n log n) solve of the model system via 2-D DCT + tridiagonal
     solves. Exact when the operator is nonsingular; with all-Neumann faces the
-    constant mode is regularized, giving a usable preconditioner. *)
+    constant mode is regularized, giving a usable preconditioner. The first
+    call builds the per-mode tridiagonal factors, which later calls reuse;
+    after it, a call allocates its result and O(nx + ny) scratch. Safe to
+    call from several domains at once on one [t]. *)
 val solve : t -> float array -> float array
 
 (** Series conductance of a vertical resistor crossing a layer boundary

@@ -423,6 +423,17 @@ let test_multigrid_matches_other_preconditioners () =
   Alcotest.(check bool) "same currents" true
     (Vec.norm2 (Vec.sub a b) < 1e-6 *. Vec.norm2 a)
 
+let test_fd_stats_under_resilient_batch () =
+  (* A Resilient batch runs the sequential FD box on several domains at
+     once; every solve must land in the shared iteration stats. *)
+  let s = Fd_solver.create ~precond:(Fd_solver.Fast_poisson 0.25) (layered_profile ()) (small_layout ())
+      ~nx:16 ~nz:4
+  in
+  let res = Substrate.Resilient.create (Fd_solver.blackbox s) in
+  let vs = Array.init 16 (fun _ -> Rng.gaussian_array rng 4) in
+  ignore (Blackbox.apply_batch ~jobs:4 (Substrate.Resilient.blackbox res) vs);
+  Alcotest.(check int) "solves" 16 (Fd_solver.stats s).La.Krylov.solves
+
 let test_fd_area_fraction () =
   (* 2x2 contacts at fill 0.5 cover 1/4 of each cell. *)
   Alcotest.(check (float 1e-9)) "fraction" 0.25 (Fd_solver.area_fraction (small_layout ()))
@@ -470,5 +481,6 @@ let () =
           Alcotest.test_case "multigrid same answer" `Quick test_multigrid_matches_other_preconditioners;
           Alcotest.test_case "outside placement KCL" `Quick test_fd_outside_current_consistency;
           Alcotest.test_case "area fraction" `Quick test_fd_area_fraction;
+          Alcotest.test_case "stats under a Resilient batch" `Quick test_fd_stats_under_resilient_batch;
         ] );
     ]

@@ -277,6 +277,29 @@ let prop_tridiag_roundtrip =
       let x' = Tridiag.solve ~lower ~diag ~upper ~rhs in
       Vec.approx_equal ~tol:1e-8 x x')
 
+let test_tridiag_factored_strided () =
+  (* One factor serves right-hand sides interleaved at a stride, in place,
+     with the bits of [solve]; positions past the array are refused. *)
+  let lower = [| 0.0; -1.0; -0.5; -1.0 |] and diag = [| 2.5; 3.0; 2.0; 4.0 |] in
+  let upper = [| -1.0; -0.25; -1.0; 0.0 |] in
+  let f = Tridiag.factor ~lower ~diag ~upper in
+  let rhs = Array.init 3 (fun _ -> Rng.gaussian_array rng 4) in
+  let x = Array.init 12 (fun j -> rhs.(j mod 3).(j / 3)) in
+  for k = 0 to 2 do
+    Tridiag.solve_factored f ~off:k ~stride:3 x
+  done;
+  for k = 0 to 2 do
+    let expected = Tridiag.solve ~lower ~diag ~upper ~rhs:rhs.(k) in
+    Array.iteri
+      (fun i v ->
+        Alcotest.(check int64) (Printf.sprintf "rhs %d row %d" k i) (Int64.bits_of_float v)
+          (Int64.bits_of_float x.(k + (3 * i))))
+      expected
+  done;
+  Alcotest.check_raises "out of bounds"
+    (Invalid_argument "Tridiag.solve_factored: right-hand side out of bounds") (fun () ->
+      Tridiag.solve_factored f ~off:1 ~stride:4 (Array.make 12 0.0))
+
 (* ------------------------------------------------------------------ *)
 (* Krylov *)
 
@@ -530,7 +553,11 @@ let () =
           Alcotest.test_case "rejects indefinite" `Quick test_cholesky_rejects_indefinite;
         ] );
       ( "tridiag",
-        [ Alcotest.test_case "solve" `Quick test_tridiag_solve; prop_tridiag_roundtrip ] );
+        [
+          Alcotest.test_case "solve" `Quick test_tridiag_solve;
+          Alcotest.test_case "factored strided in place" `Quick test_tridiag_factored_strided;
+          prop_tridiag_roundtrip;
+        ] );
       ( "krylov",
         [
           Alcotest.test_case "dense SPD" `Quick test_cg_dense_spd;

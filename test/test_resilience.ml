@@ -123,6 +123,37 @@ let test_fallback_ladder () =
   Alcotest.(check int) "two retries per fault site (0 and 5)" 4 (Resilient.retries res);
   Alcotest.(check int) "no exhausted solves" 0 (List.length (Resilient.failures res))
 
+let test_fallback_forced_under_race () =
+  (* The primary always answers NaN, so every solve of a parallel batch
+     reaches attempt 3 and forces the one fallback lazy; its slow
+     constructor keeps it unforced while other domains arrive. The lazy
+     must be built once and every answer must come from it. *)
+  let n = 8 in
+  let g = dense_g n in
+  let primary = Blackbox.make ~n (fun _ -> Array.make n Float.nan) in
+  let builds = Atomic.make 0 in
+  let fallback =
+    lazy
+      (Atomic.incr builds;
+       Unix.sleepf 0.05;
+       Blackbox.of_dense g)
+  in
+  let res = Resilient.create ~fallbacks:[ ("clean", fallback) ] primary in
+  let vs = Array.init 8 (fun _ -> Rng.gaussian_array rng n) in
+  let out = Blackbox.apply_batch ~jobs:4 (Resilient.blackbox res) vs in
+  let expected = Blackbox.apply_batch (Blackbox.of_dense g) vs in
+  Array.iteri
+    (fun i y ->
+      Alcotest.(check bool)
+        (Printf.sprintf "answer %d from the fallback" i)
+        true
+        (Array.for_all2
+           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           y expected.(i)))
+    out;
+  Alcotest.(check int) "fallback built once" 1 (Atomic.get builds);
+  Alcotest.(check int) "no exhausted solves" 0 (List.length (Resilient.failures res))
+
 (* ------------------------------------------------------------------ *)
 (* Typed failures *)
 
@@ -362,6 +393,8 @@ let () =
           Alcotest.test_case "wavelet recovers bit-identically" `Quick test_retry_recovers_wavelet;
           Alcotest.test_case "lowrank recovers bit-identically" `Quick test_retry_recovers_lowrank;
           Alcotest.test_case "ladder retries primary then escalates" `Quick test_fallback_ladder;
+          Alcotest.test_case "fallback forced once under a parallel race" `Quick
+            test_fallback_forced_under_race;
           Alcotest.test_case "fail-fast names the solve index" `Quick test_fail_fast_names_index;
           Alcotest.test_case "nan injection names the rhs" `Quick test_nan_injection_names_rhs;
           Alcotest.test_case "degrade completes with a report" `Quick test_degrade_completes;
