@@ -1033,7 +1033,7 @@ let bench_trace ~full () =
     :: !trace_records
 
 (* ------------------------------------------------------------------ *)
-(* Kernel layer: boxed vs Bigarray, fused vs looped spmv, blocked vs plain *)
+(* Kernel layer: fused vs looped spmv, CG vs the boxed reference recurrence *)
 
 type kernel_record = {
   kr_name : string;  (* what is being compared *)
@@ -1042,14 +1042,55 @@ type kernel_record = {
   kr_baseline_s : float;
   kr_candidate : string;
   kr_candidate_s : float;
+  kr_speedup : float;  (* baseline / candidate; the median round ratio when gated *)
   kr_bit_identical : bool;
   kr_gated : bool;  (* gated records must show candidate <= baseline *)
 }
 
 let kernel_records : kernel_record list ref = ref []
 
+(* Gated rows are timed as [gate_rounds] interleaved rounds, alternating
+   which side runs first, and gate on the median per-round ratio: a single
+   back-to-back pair of timings lets a few percent of host noise decide
+   the gate. Each side of a round runs enough back-to-back calls to last
+   about [gate_round_s]. Odd, so the median is one round's ratio. *)
+let gate_rounds = 5
+let gate_round_s = 0.25
+
+let seconds_per_call reps f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int reps
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Median seconds per call of each side, the median per-round ratio, and
+   the smallest and largest round ratios. *)
+let interleaved_rounds baseline candidate =
+  let reps = max 1 (int_of_float (ceil (gate_round_s /. seconds_per_call 1 baseline))) in
+  let rounds =
+    List.init gate_rounds (fun k ->
+        if k mod 2 = 0 then
+          let b = seconds_per_call reps baseline in
+          (b, seconds_per_call reps candidate)
+        else
+          let c = seconds_per_call reps candidate in
+          (seconds_per_call reps baseline, c))
+  in
+  let ratios = List.map (fun (b, c) -> b /. c) rounds in
+  ( median (List.map fst rounds),
+    median (List.map snd rounds),
+    median ratios,
+    List.fold_left Float.min infinity ratios,
+    List.fold_left Float.max neg_infinity ratios )
+
 let bench_kernels ~full () =
-  section "Kernel layer — boxed vs Bigarray, fused vs looped spmv (bechamel)";
+  section "Kernel layer — fused vs looped spmv, CG vs the boxed reference";
   (* Earlier experiments can leave a large, fragmented live heap (dense
      reference matrices, DCT tables); compact so kernel timings measure
      the kernels, not the allocator state another experiment left behind. *)
@@ -1064,12 +1105,21 @@ let bench_kernels ~full () =
   let time name f =
     bechamel_time_per_run (Bechamel.Test.make ~name (Bechamel.Staged.stage f))
   in
-  let record ~gated name n (bl_name, bl_s) (cd_name, cd_s) identical =
-    Printf.printf "  %-34s n=%-7d %-10s %.3e s   %-10s %.3e s   %5.2fx%s%s\n%!" name n bl_name
-      bl_s cd_name cd_s (bl_s /. cd_s)
-      (if identical then "  [bit-identical]" else "  [MISMATCH]")
-      (if gated then "  (gated)" else "");
+  (* Bit identity is asserted before anything is timed. Ungated rows are
+     one bechamel estimate per side; gated rows use [interleaved_rounds]. *)
+  let record ~gated name n (bl_name, bl_f) (cd_name, cd_f) identical =
     if not identical then failwith (name ^ ": candidate kernel is not bit-identical");
+    let bl_s, cd_s, speedup, spread =
+      if gated then
+        let bl_s, cd_s, ratio, lo, hi = interleaved_rounds bl_f cd_f in
+        let spread = Printf.sprintf "  (gated; median of %d rounds, %.2f-%.2fx)" gate_rounds lo hi in
+        (bl_s, cd_s, ratio, spread)
+      else
+        let bl_s = time (name ^ " " ^ bl_name) bl_f and cd_s = time (name ^ " " ^ cd_name) cd_f in
+        (bl_s, cd_s, bl_s /. cd_s, "")
+    in
+    Printf.printf "  %-34s n=%-7d %-10s %.3e s   %-10s %.3e s   %5.2fx  [bit-identical]%s\n%!" name
+      n bl_name bl_s cd_name cd_s speedup spread;
     kernel_records :=
       {
         kr_name = name;
@@ -1078,39 +1128,13 @@ let bench_kernels ~full () =
         kr_baseline_s = bl_s;
         kr_candidate = cd_name;
         kr_candidate_s = cd_s;
+        kr_speedup = speedup;
         kr_bit_identical = identical;
         kr_gated = gated;
       }
       :: !kernel_records
   in
-  (* --- BLAS-1: boxed Vec vs Bvec ----------------------------------- *)
-  let n1 = if full then 262_144 else 65_536 in
-  let a = La.Rng.gaussian_array (La.Rng.create 101) n1 in
-  let b = La.Rng.gaussian_array (La.Rng.create 102) n1 in
-  let ba = La.Bvec.of_array a and bb = La.Bvec.of_array b in
-  record ~gated:false "dot" n1
-    ("Vec.dot", time "vec dot" (fun () -> ignore (Vec.dot a b)))
-    ("Bvec.dot", time "bvec dot" (fun () -> ignore (La.Bvec.dot ba bb)))
-    (Int64.equal (Int64.bits_of_float (Vec.dot a b)) (Int64.bits_of_float (La.Bvec.dot ba bb)));
-  let y_boxed = Vec.copy b in
-  let y_big = La.Bvec.of_array b in
-  record ~gated:false "axpy" n1
-    ("Vec.axpy", time "vec axpy" (fun () -> Vec.axpy ~alpha:0.5 a y_boxed))
-    ("Bvec.axpy", time "bvec axpy" (fun () -> La.Bvec.axpy ~alpha:0.5 ba y_big))
-    (let y1 = Vec.copy b and y2 = La.Bvec.of_array b in
-     Vec.axpy ~alpha:0.5 a y1;
-     La.Bvec.axpy ~alpha:0.5 ba y2;
-     vec_bits_equal y1 (La.Bvec.to_array y2));
-  (* --- dense gemv: Mat vs Bmat -------------------------------------- *)
-  let nd = if full then 768 else 512 in
-  let dm = Mat.random (La.Rng.create 103) nd nd in
-  let bm = La.Bmat.of_mat dm in
-  let xv = La.Rng.gaussian_array (La.Rng.create 104) nd in
-  record ~gated:false "dense gemv" nd
-    ("Mat.gemv", time "mat gemv" (fun () -> ignore (Mat.gemv dm xv)))
-    ("Bmat.gemv", time "bmat gemv" (fun () -> ignore (La.Bmat.gemv bm xv)))
-    (vec_bits_equal (Mat.gemv dm xv) (La.Bmat.gemv bm xv));
-  (* --- CSR: fused multi-RHS vs per-column loop, blocked vs plain ----- *)
+  (* --- CSR: fused multi-RHS vs per-column loop ----------------------- *)
   (* A grid Laplacian large enough (~190k nnz reduced, ~65k nodes at full
      scale) that the matrix no longer fits in L2: the regime where reading
      it once per block instead of once per column pays. *)
@@ -1129,25 +1153,20 @@ let bench_kernels ~full () =
   record ~gated:true
     (Printf.sprintf "csr spmv x%d rhs" width)
     ncsr
-    ("per-column", time "looped spmv" (fun () -> ignore (looped ())))
-    ("fused", time "fused spmv" (fun () -> ignore (fused ())))
+    ("per-column", fun () -> ignore (looped ()))
+    ("fused", fun () -> ignore (fused ()))
     (batch_bits_equal (looped ()) (fused ()));
-  record ~gated:false "csr spmv blocked" ncsr
-    ("plain", time "plain spmv" (fun () -> ignore (Sparsemat.Csr.gemv acsr xs.(0))))
-    ("blocked", time "blocked spmv" (fun () -> ignore (Sparsemat.Csr.gemv_blocked acsr xs.(0))))
-    (vec_bits_equal (Sparsemat.Csr.gemv acsr xs.(0)) (Sparsemat.Csr.gemv_blocked acsr xs.(0)));
-  (* --- CG: Bigarray working vectors vs the boxed reference ----------- *)
+  (* --- CG: the in-place recurrence vs the boxed reference ------------ *)
   (* Par-workload recurrence: the par experiment's CG runs
      unpreconditioned on packed contact-panel dofs (the eigenfunction
      solver's A_cc system). The real A_cc apply is DCT-dominated, so an
      end-to-end timing would measure the transform, not the solver; here
      the operator is a fixed-spectrum diagonal costing one O(n) sweep —
-     cheap enough that the measurement isolates the CG recurrence, which
-     is the part the kernel layer rewrote (three fewer vector passes and
-     one fewer allocation per iteration). [tol 0.0] pins both sides to
-     exactly [max_iter] iterations of identical work. End-to-end par
-     results (real operator) stay covered by the par experiment and the
-     probe digests. *)
+     cheap enough that the measurement isolates the CG recurrence (three
+     fewer vector passes and one fewer allocation per iteration than the
+     boxed reference). [tol 0.0] pins both sides to exactly [max_iter]
+     iterations of identical work. End-to-end par results (real operator)
+     stay covered by the par experiment and the probe digests. *)
   let par_layout = scn_layout ~per_side:16 "regular" in
   let par_eig = Eigsolver.Eig_solver.create profile par_layout ~panels_per_side:64 in
   let ncg = Eigsolver.Eig_solver.panel_count par_eig in
@@ -1163,19 +1182,15 @@ let bench_kernels ~full () =
   in
   let bcg = La.Rng.gaussian_array (La.Rng.create 105) ncg in
   let cg_iters = 80 in
+  let boxed_diag () = Cg_reference.cg_boxed ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg in
+  let cg_diag () = La.Krylov.cg ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg in
   record ~gated:true "cg recurrence (par panel dofs)" ncg
-    ( "cg_boxed",
-      time "cg boxed" (fun () ->
-          ignore (La.Krylov.cg_boxed ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg)) )
-    ( "cg bigarray",
-      time "cg bigarray" (fun () ->
-          ignore (La.Krylov.cg ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg)) )
-    (vec_bits_equal
-       (La.Krylov.cg ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg).La.Krylov.x
-       (La.Krylov.cg_boxed ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg).La.Krylov.x);
+    ("cg_boxed", fun () -> ignore (boxed_diag ()))
+    ("cg", fun () -> ignore (cg_diag ()))
+    (vec_bits_equal (cg_diag ()).La.Krylov.x (boxed_diag ()).La.Krylov.x);
   (* Dense-operator shape: O(n^2) apply dominates, so this records how
-     little headroom the solver rewrite has when the operator is the
-     cost — an honest upper-bound-context row, not a gate. *)
+     little headroom the recurrence has when the operator is the cost —
+     an honest upper-bound-context row, not a gate. *)
   let nds = 128 in
   let c = Mat.random (La.Rng.create 107) nds nds in
   let spd =
@@ -1185,17 +1200,17 @@ let bench_kernels ~full () =
   let rhs = Array.init 8 (fun i -> La.Rng.gaussian_array (La.Rng.create (300 + i)) nds) in
   let cg_all solver = Array.iter (fun b -> ignore (solver ~apply:apply_spd b)) rhs in
   record ~gated:false "cg (dense operator)" nds
-    ("cg_boxed", time "cg boxed" (fun () -> cg_all (fun ~apply b -> La.Krylov.cg_boxed ~apply b)))
-    ("cg bigarray", time "cg bigarray" (fun () -> cg_all (fun ~apply b -> La.Krylov.cg ~apply b)))
+    ("cg_boxed", fun () -> cg_all (fun ~apply b -> Cg_reference.cg_boxed ~apply b))
+    ("cg", fun () -> cg_all (fun ~apply b -> La.Krylov.cg ~apply b))
     (Array.for_all
        (fun b ->
          vec_bits_equal (La.Krylov.cg ~apply:apply_spd b).La.Krylov.x
-           (La.Krylov.cg_boxed ~apply:apply_spd b).La.Krylov.x)
+           (Cg_reference.cg_boxed ~apply:apply_spd b).La.Krylov.x)
        rhs);
   (* FD-workload shape: grid-node vectors (the heavy BLAS-1 path), with
      the allocation-free [Grid.apply_into] closure on both sides and a
      fixed iteration count (tol 0 runs exactly max_iter iterations), so
-     the measured delta is again the vector layer. *)
+     the measured delta is again the recurrence. *)
   let nxf = 32 in
   let gridf = Fdsolver.Grid.create fd_profile_resolved layout ~nx:nxf ~nz:(nxf / 4) in
   let nf = Fdsolver.Grid.node_count gridf in
@@ -1206,16 +1221,12 @@ let bench_kernels ~full () =
   in
   let bf = La.Rng.gaussian_array (La.Rng.create 106) nf in
   let iters = 60 in
+  let boxed_fd () = Cg_reference.cg_boxed ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf in
+  let cg_fd () = La.Krylov.cg ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf in
   record ~gated:true "cg (fd grid stencil)" nf
-    ( "cg_boxed",
-      time "cg boxed fd" (fun () ->
-          ignore (La.Krylov.cg_boxed ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf)) )
-    ( "cg bigarray",
-      time "cg bigarray fd" (fun () ->
-          ignore (La.Krylov.cg ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf)) )
-    (vec_bits_equal
-       (La.Krylov.cg ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf).La.Krylov.x
-       (La.Krylov.cg_boxed ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf).La.Krylov.x);
+    ("cg_boxed", fun () -> ignore (boxed_fd ()))
+    ("cg", fun () -> ignore (cg_fd ()))
+    (vec_bits_equal (cg_fd ()).La.Krylov.x (boxed_fd ()).La.Krylov.x);
   (* --- Repr: fused three-sweep batch vs per-column apply ------------- *)
   let rlayout = scn_layout ~per_side:16 "alternating" in
   let nrep = Layout.n_contacts rlayout in
@@ -1225,9 +1236,8 @@ let bench_kernels ~full () =
   let rop = Repr.op repr in
   let rxs = Array.init 16 (fun i -> La.Rng.gaussian_array (La.Rng.create (400 + i)) nrep) in
   record ~gated:false "repr batch x16 rhs" nrep
-    ( "per-column",
-      time "repr looped" (fun () -> ignore (Array.map (Subcouple_op.apply rop) rxs)) )
-    ("fused", time "repr fused" (fun () -> ignore (Repr.apply_batch repr ~jobs:1 rxs)))
+    ("per-column", fun () -> ignore (Array.map (Subcouple_op.apply rop) rxs))
+    ("fused", fun () -> ignore (Repr.apply_batch repr ~jobs:1 rxs))
     (batch_bits_equal (Array.map (Subcouple_op.apply rop) rxs) (Repr.apply_batch repr ~jobs:1 rxs))
 
 (* ------------------------------------------------------------------ *)
@@ -1560,8 +1570,7 @@ let write_json path ~full records =
              \"candidate\": \"%s\", \"candidate_s\": %.6e, \"speedup\": %.4f, \
              \"bit_identical\": %b, \"gated\": %b}%s\n"
             (json_escape k.kr_name) k.kr_n (json_escape k.kr_baseline) k.kr_baseline_s
-            (json_escape k.kr_candidate) k.kr_candidate_s
-            (k.kr_baseline_s /. k.kr_candidate_s)
+            (json_escape k.kr_candidate) k.kr_candidate_s k.kr_speedup
             k.kr_bit_identical k.kr_gated
             (if i = List.length krs - 1 then "" else ","))
         krs;
@@ -1577,9 +1586,9 @@ let experiments =
     (* Kernel microbenches run first: experiments run in list order, and a
        large live heap left by an earlier experiment (dense reference
        matrices, DCT tables) taxes every boxed large-array allocation with
-       major-GC marking work, distorting the boxed-vs-bigarray baselines
-       by 5-6x. First place + Gc.compact = a pristine, reproducible heap. *)
-    ("kernels", "Kernel layer: boxed vs Bigarray, fused vs looped spmv", bench_kernels);
+       major-GC marking work, distorting the boxed baselines by 5-6x.
+       First place + Gc.compact = a pristine, reproducible heap. *)
+    ("kernels", "Kernel layer: fused vs looped spmv, CG vs boxed reference", bench_kernels);
     ("t2.1", "Table 2.1: preconditioner effectiveness", bench_table_2_1);
     ("t2.2", "Table 2.2: FD vs eigenfunction solve speed", bench_table_2_2);
     ("t3.1", "Table 3.1: wavelet sparsity/accuracy", bench_table_3_1);

@@ -7,22 +7,18 @@
    The implementation is the standard PCG recurrence that only needs
    applications of M^{-1}, not M^{-1/2} (Golub & Van Loan §11.5).
 
-   [cg] keeps the iterate x and residual r in unboxed [Bvec] storage and
-   the search direction p as a plain float array: p is the one vector
-   that crosses the black-box boundary every iteration (it is the
-   argument of [apply]), so keeping it boxed makes that crossing free —
-   no per-iteration conversion copy — while the mixed-operand [Bvec]
-   kernels ([axpy_a], [xpby_into_array]) read it in place. Relative to
-   the boxed reference the per-iteration work drops three vector passes
-   and one allocation: with no preconditioner z is r (the identity
-   "preconditioner" of the boxed recurrence was a per-iteration
-   [Vec.copy]; [dot r z] = [dot r r] and [z.(i) + beta * p.(i)] =
+   Every vector is a plain float array. The iterate x, residual r and
+   direction p are allocated once per solve and updated in place; r and p
+   cross the black-box boundary as they are (see the .mli contract), so
+   no iteration copies a vector. Relative to the textbook recurrence the
+   per-iteration work drops three vector passes and one allocation: with
+   no preconditioner z is r (the identity preconditioner would be a
+   per-iteration copy; [dot r z] = [dot r r] and [z.(i) + beta * p.(i)] =
    [r.(i) + beta * p.(i)] on the alias), and the residual-norm and rz
    reductions collapse into ONE dot product since
-   [norm2 r = sqrt (dot r r)] exactly. Every kernel call preserves the
-   boxed operation order, so results are bit-identical to [cg_boxed] —
-   the original float-array implementation, kept as the reference for
-   the equivalence tests in test/test_la.ml and the kernels bench. *)
+   [norm2 r = sqrt (dot r r)] exactly. Every pass keeps the textbook
+   operation order, so results are bit-identical to the naive boxed
+   recurrence kept as the test oracle (test/reference/cg_reference.ml). *)
 
 type result = {
   x : Vec.t;
@@ -58,27 +54,42 @@ let iterations_dist = Trace.dist "krylov.iterations"
 let breakdown_counter = Trace.counter "krylov.breakdowns"
 let mismatch_counter = Trace.counter "krylov.residual_mismatches"
 
+(* p <- z + beta * p in place: the CG direction update. *)
+let update_direction ~beta (z : Vec.t) (p : Vec.t) =
+  if Array.length z <> Array.length p then
+    invalid_arg
+      (Printf.sprintf "Krylov.cg: preconditioned residual has dimension %d, direction %d"
+         (Array.length z) (Array.length p));
+  for i = 0 to Array.length p - 1 do
+    Array.unsafe_set p i (Array.unsafe_get z i +. (beta *. Array.unsafe_get p i))
+  done
+[@@lint.hotpath "equal lengths checked on entry; i bounded by the loop"]
+
 let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
   Trace.with_span cg_span (fun () ->
   let n = Array.length b in
-  let x = match x0 with Some x -> Bvec.of_array x | None -> Bvec.create n in
-  let r = Bvec.create n in
-  (* [apply] receives the solver's working direction vector directly
-     (exactly as the boxed reference always did): it is read-only and
-     only valid for the duration of the call. Results of [apply] are
-     consumed before the next call, so callbacks may reuse their own
-     output buffer (see the .mli contract). *)
-  Bvec.sub_arrays_into b (apply (Bvec.to_array x)) r;
+  let x =
+    match x0 with
+    | Some x0 when Array.length x0 <> n ->
+      invalid_arg
+        (Printf.sprintf "Krylov.cg: x0 has dimension %d, b has %d" (Array.length x0) n)
+    | Some x0 -> Vec.copy x0
+    | None -> Vec.create n
+  in
+  (* Every vector handed to [apply] or [precond] is read-only and only
+     valid for the duration of the call; every result is consumed before
+     the next call, so callbacks may reuse their own output buffer (see
+     the .mli contract). *)
+  let r = Vec.sub b (apply x) in
   let bnorm = Vec.norm2 b in
   let threshold = if bnorm > 0.0 then tol *. bnorm else 1e-300 in
-  (* With a preconditioner, z crosses the boundary as a fresh array (the
-     callback may retain it, as the boxed reference allowed); without one,
-     z aliases r and the rz reduction doubles as the residual norm. *)
-  let z0 = match precond with Some f -> Some (f (Bvec.to_array r)) | None -> None in
-  let p = match z0 with Some z -> Vec.copy z | None -> Bvec.to_array r in
-  let rz = ref (match z0 with Some z -> Bvec.dot_a r z | None -> Bvec.dot r r) in
+  (* Without a preconditioner z aliases r and the rz reduction doubles as
+     the residual norm. *)
+  let z = match precond with Some f -> f r | None -> r in
+  let p = Vec.copy z in
+  let rz = ref (Vec.dot r z) in
   let iterations = ref 0 in
-  let rnorm = ref (match z0 with Some _ -> Bvec.norm2 r | None -> sqrt !rz) in
+  let rnorm = ref (match precond with Some _ -> Vec.norm2 r | None -> sqrt !rz) in
   let converged = ref (!rnorm <= threshold) in
   let breakdown = ref false in
   while (not !converged) && (not !breakdown) && !iterations < max_iter do
@@ -97,33 +108,31 @@ let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
       breakdown := true
     else begin
       let alpha = !rz /. pap in
-      Bvec.axpy_a ~alpha p x;
-      Bvec.axpy_a ~alpha:(-.alpha) ap r;
+      Vec.axpy ~alpha p x;
+      Vec.axpy ~alpha:(-.alpha) ap r;
       match precond with
       | Some f ->
-        rnorm := Bvec.norm2 r;
+        rnorm := Vec.norm2 r;
         if !rnorm <= threshold then converged := true
         else begin
-          let z = f (Bvec.to_array r) in
-          let rz' = Bvec.dot_a r z in
+          let z = f r in
+          let rz' = Vec.dot r z in
           let beta = rz' /. !rz in
           rz := rz';
-          for i = 0 to n - 1 do
-            p.(i) <- z.(i) +. (beta *. p.(i))
-          done
+          update_direction ~beta z p
         end
       | None ->
         (* One reduction serves both exits: [sqrt d] is bitwise
-           [norm2 r], and [d] is the [dot r z] of the boxed recurrence
-           (z = copy of r). The boxed reference sweeps r three times
-           here (norm2, copy, dot); this sweeps once. *)
-        let d = Bvec.dot r r in
+           [norm2 r], and [d] is the [dot r z] of the textbook
+           recurrence (z = copy of r). The textbook recurrence sweeps r
+           three times here (norm2, copy, dot); this sweeps once. *)
+        let d = Vec.dot r r in
         rnorm := sqrt d;
         if !rnorm <= threshold then converged := true
         else begin
           let beta = d /. !rz in
           rz := d;
-          Bvec.xpby_into_array ~beta r p
+          update_direction ~beta r p
         end
     end
   done;
@@ -139,7 +148,7 @@ let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
   let residual_norm, residual_mismatch =
     if !converged && not !breakdown then (recurrence_residual, false)
     else begin
-      let true_norm = Vec.norm2 (Vec.sub b (apply (Bvec.to_array x))) in
+      let true_norm = Vec.norm2 (Vec.sub b (apply x)) in
       let mismatch =
         true_norm > 10.0 *. recurrence_residual || recurrence_residual > 10.0 *. true_norm
       in
@@ -158,75 +167,6 @@ let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
   if !breakdown then Trace.incr breakdown_counter;
   if residual_mismatch then Trace.incr mismatch_counter;
   {
-    x = Bvec.to_array x;
-    iterations = !iterations;
-    converged = !converged;
-    breakdown = !breakdown;
-    residual_norm;
-    recurrence_residual;
-    residual_mismatch;
-  })
-
-(* The original boxed implementation, byte for byte the same recurrence on
-   plain float arrays. Kept as the reference the Bigarray [cg] must match
-   bitwise (test/test_la.ml) and as the baseline side of the kernels bench.
-   Not trace-instrumented: bench comparisons against [cg] should measure
-   storage, not span overhead. *)
-let cg_boxed ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
-  let n = Array.length b in
-  let precond = match precond with Some p -> p | None -> Vec.copy in
-  let x = match x0 with Some x -> Vec.copy x | None -> Vec.create n in
-  let r = Vec.sub b (apply x) in
-  let bnorm = Vec.norm2 b in
-  let threshold = if bnorm > 0.0 then tol *. bnorm else 1e-300 in
-  let z = precond r in
-  let p = Vec.copy z in
-  let rz = ref (Vec.dot r z) in
-  let iterations = ref 0 in
-  let rnorm = ref (Vec.norm2 r) in
-  let converged = ref (!rnorm <= threshold) in
-  let breakdown = ref false in
-  while (not !converged) && (not !breakdown) && !iterations < max_iter do
-    incr iterations;
-    let ap = apply p in
-    let pap = Vec.dot p ap in
-    if pap <= 0.0 then breakdown := true
-    else begin
-      let alpha = !rz /. pap in
-      Vec.axpy ~alpha p x;
-      Vec.axpy ~alpha:(-.alpha) ap r;
-      rnorm := Vec.norm2 r;
-      if !rnorm <= threshold then converged := true
-      else begin
-        let z = precond r in
-        let rz' = Vec.dot r z in
-        let beta = rz' /. !rz in
-        rz := rz';
-        for i = 0 to n - 1 do
-          p.(i) <- z.(i) +. (beta *. p.(i))
-        done
-      end
-    end
-  done;
-  let recurrence_residual = !rnorm in
-  let residual_norm, residual_mismatch =
-    if !converged && not !breakdown then (recurrence_residual, false)
-    else begin
-      let true_norm = Vec.norm2 (Vec.sub b (apply x)) in
-      let mismatch =
-        true_norm > 10.0 *. recurrence_residual || recurrence_residual > 10.0 *. true_norm
-      in
-      (true_norm, mismatch)
-    end
-  in
-  if !breakdown then converged := residual_norm <= threshold *. 10.0;
-  (match stats with
-  | Some s ->
-    s.solves <- s.solves + 1;
-    s.total_iterations <- s.total_iterations + !iterations;
-    if !breakdown then s.breakdowns <- s.breakdowns + 1
-  | None -> ());
-  {
     x;
     iterations = !iterations;
     converged = !converged;
@@ -234,4 +174,4 @@ let cg_boxed ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
     residual_norm;
     recurrence_residual;
     residual_mismatch;
-  }
+  })

@@ -47,30 +47,19 @@ val merge_stats : into:stats -> stats -> unit
     [precond] applies an SPD preconditioner inverse M^{-1}.
     Converges when the 2-norm residual falls below [tol * ||b||].
 
-    The iterate and residual live in unboxed {!Bvec} storage; the search
-    direction stays a [float array] because it crosses the black-box
-    boundary every iteration, and the callbacks keep their [float array]
-    signatures. The array passed to [apply] is the solver's working
-    direction vector: read-only, and only valid for the duration of the
-    call — [apply] must not retain or mutate it. Symmetrically, [cg]
-    consumes each [apply] result before the next call, so a callback may
-    reuse its own output buffer. Results are bit-identical to
-    {!cg_boxed}. *)
-val cg :
-  ?precond:(Vec.t -> Vec.t) ->
-  ?tol:float ->
-  ?max_iter:int ->
-  ?x0:Vec.t ->
-  ?stats:stats ->
-  apply:(Vec.t -> Vec.t) ->
-  Vec.t ->
-  result
+    Callback contract: every array passed to [apply] or [precond] is one
+    of the solver's working vectors (the iterate, the residual or the
+    search direction). It is read-only and only valid for the duration
+    of the call — a callback must neither retain nor mutate it. In turn,
+    [cg] consumes each callback result before the next call, so a
+    callback may reuse its own output buffer. [b] and [x0] are never
+    written; the returned [x] is fresh.
 
-(** The original float-array implementation of the same recurrence, kept
-    as the bit-identity reference for {!cg} (asserted in test/test_la.ml)
-    and as the boxed baseline of the [kernels] bench experiment. Fresh
-    arrays per call, no trace instrumentation. *)
-val cg_boxed :
+    Raises [Invalid_argument] when [x0] and [b] differ in length, or when
+    a callback returns a vector whose length differs from [b]'s. Results
+    are bit-identical to the textbook PCG recurrence with an explicit
+    identity preconditioner (the boxed reference in the test suite). *)
+val cg :
   ?precond:(Vec.t -> Vec.t) ->
   ?tol:float ->
   ?max_iter:int ->

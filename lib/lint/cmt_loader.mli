@@ -8,8 +8,8 @@
 type unit_info = {
   ci_source : string;
       (** source path as recorded by the compiler, repo-relative under dune
-          (e.g. ["lib/la/bvec.ml"]) *)
-  ci_modname : string;  (** compilation unit name, e.g. ["La__Bvec"] *)
+          (e.g. ["lib/la/krylov.ml"]) *)
+  ci_modname : string;  (** compilation unit name, e.g. ["La__Krylov"] *)
   ci_structure : Typedtree.structure;
 }
 

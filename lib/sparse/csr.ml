@@ -231,44 +231,6 @@ let apply_batch_t t (xs : La.Vec.t array) : La.Vec.t array =
   "every xs column length-checked on entry; c < w, i < rows, k and col_idx bounded by the CSR \
    invariants"]
 
-(* Cache-blocked single-RHS product: sweep the matrix in column bands of
-   [block] so the active slice of [x] stays resident while every row's
-   entries for that band are consumed. Per-row cursors resume each row
-   where the previous band stopped; entries are consumed in ascending k
-   order regardless of banding (an out-of-order column merely waits for a
-   later band), so the per-row partial sums telescope into exactly the
-   [gemv] accumulation sequence — bit-identical output, banding affects
-   locality only. *)
-let gemv_blocked ?(block = 4096) t (x : La.Vec.t) : La.Vec.t =
-  if Array.length x <> t.cols then invalid_arg "Csr.gemv_blocked: dimension mismatch";
-  if block <= 0 then invalid_arg "Csr.gemv_blocked: block must be positive";
-  Trace.with_span "csr.gemv_blocked" (fun () ->
-      let y = Array.make t.rows 0.0 in
-      let cursor = Array.init t.rows (fun i -> t.row_ptr.(i)) in
-      let band_lo = ref 0 in
-      while !band_lo < t.cols do
-        let band_hi = min t.cols (!band_lo + block) in
-        for i = 0 to t.rows - 1 do
-          let stop = Array.unsafe_get t.row_ptr (i + 1) in
-          let k = ref (Array.unsafe_get cursor i) in
-          let acc = ref (Array.unsafe_get y i) in
-          while !k < stop && Array.unsafe_get t.col_idx !k < band_hi do
-            acc :=
-              !acc
-              +. (Array.unsafe_get t.values !k
-                 *. Array.unsafe_get x (Array.unsafe_get t.col_idx !k));
-            incr k
-          done;
-          Array.unsafe_set y i !acc;
-          Array.unsafe_set cursor i !k
-        done;
-        band_lo := band_hi
-      done;
-      y)
-[@@lint.hotpath
-  "length x = cols checked on entry; cursors start at row_ptr and only advance while k < \
-   row_ptr.(i + 1)"]
-
 let transpose t =
   let coo = Coo.create t.cols t.rows in
   for i = 0 to t.rows - 1 do

@@ -13,6 +13,9 @@ Two modes:
       wall-clock must not exceed the committed baseline by more than the
       tolerance (default 15%). Experiments present only on one side are
       reported but not fatal (the set of experiments is allowed to grow).
+      Gates cannot be lost: every kernel row that is gated in the
+      baseline must be present (matched by name) and gated in the
+      current snapshot.
 
 Exit status is 0 when everything passes, 1 otherwise. Uses only the
 standard library.
@@ -208,6 +211,25 @@ def compare_wall_clock(current, baseline, tolerance):
     return errors, notes
 
 
+def compare_gated_kernels(current, baseline):
+    """A gate is only a gate if it cannot be deleted or renamed away: every
+    kernel row the baseline gates must still exist, and still be gated, in
+    the current snapshot."""
+    errors = []
+    cur = {r.get("name"): r for r in current.get("kernels", [])}
+    for row in baseline.get("kernels", []):
+        if not row.get("gated"):
+            continue
+        name = row.get("name")
+        if name not in cur:
+            errors.append(f"gated kernel row '{name}' from the baseline is missing "
+                          f"from the current snapshot")
+        elif cur[name].get("gated") is not True:
+            errors.append(f"kernel row '{name}' is gated in the baseline but no "
+                          f"longer gated in the current snapshot")
+    return errors
+
+
 def load(path):
     try:
         with open(path) as fh:
@@ -250,6 +272,7 @@ def main():
                 print(f"note: no baseline yet ({args.baseline} is empty)")
             if base is not None:
                 errors += validate_schema(base, args.baseline)
+                errors += compare_gated_kernels(doc, base)
                 cmp_errors, notes = compare_wall_clock(doc, base, args.tolerance)
                 errors += cmp_errors
                 for note in notes:
